@@ -30,7 +30,7 @@ class RollingUpgrade:
 
     def __init__(self, sim: "Simulator", membership: ClusterMembership,
                  balancer: LoadBalancer, upgrade_duration: float = 30.0,
-                 min_live: int = 1, drain_poll: float = 0.01) -> None:
+                 min_live: int = 1) -> None:
         if min_live < 1:
             raise ValueError(f"min_live must be >= 1, got {min_live}")
         self.sim = sim
@@ -38,7 +38,6 @@ class RollingUpgrade:
         self.balancer = balancer
         self.upgrade_duration = upgrade_duration
         self.min_live = min_live
-        self.drain_poll = drain_poll
         self.upgraded: list[int] = []
         self.log: list[tuple[float, int, str]] = []
 
@@ -58,8 +57,8 @@ class RollingUpgrade:
                     f"{self.min_live} live blades")
             blade.drain()
             self.log.append((self.sim.now, blade_id, "draining"))
-            while not self.balancer.idle(blade_id):
-                yield self.sim.timeout(self.drain_poll)
+            if not self.balancer.idle(blade_id):
+                yield self.balancer.drained(blade_id)
             # Down for the flash/reboot window.
             blade.state = BladeState.FAILED
             self.log.append((self.sim.now, blade_id, "down"))

@@ -220,10 +220,9 @@ class FaultInjector:
 
         def cut(spec: FaultSpec) -> None:
             crossing = []
-            for u, v in sorted(net.graph.edges):
+            for (u, v), link in sorted(net.links.items()):
                 if (u in a_set and v in b_set) \
                         or (u in b_set and v in a_set):
-                    link = net.graph.edges[u, v]["link"]
                     crossing.append(link)
                     self._hold_link(link)
             batches.append(crossing)
@@ -332,8 +331,8 @@ class FaultInjector:
         for name in sorted(mc.network.sites):
             site = mc.network.sites[name]
             self.bind_site(site, on_loss=lambda s=site: mc.dr.fail_site(s))
-        for u, v in sorted(mc.network.graph.edges):
-            self.bind_link(mc.network.graph.edges[u, v]["link"])
+        for _pair, link in sorted(mc.network.links.items()):
+            self.bind_link(link)
         for name in sorted(mc.systems):
             self.bind_system(mc.systems[name], prefix=f"{name}.")
         self.bind_partitions(mc.network)

@@ -96,7 +96,7 @@ class DisasterRecoveryCoordinator:
             path, _target = key
             if self.replicator.files[path].home == site.name \
                     or path in new_homes:
-                self.replicator.async_backlog.pop(key, None)
+                self.replicator.drop_backlog(key)
         report = RecoveryReport(
             site=site.name,
             failed_at=failed_at,

@@ -13,7 +13,6 @@ into a measured RPO (data-loss window) instead of silent corruption.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from ..faults.retry import RetryPolicy
@@ -87,8 +86,13 @@ class GeoReplicator:
         self._corrupt_pending = 0
         self.resends = 0
         self.files: dict[str, GeoFile] = {}
-        #: bytes acked at the source but not yet at (path, target_site)
-        self.async_backlog: dict[tuple[str, str], int] = defaultdict(int)
+        #: Bytes acked at the source but not yet at (path, target_site);
+        #: an entry is dropped as soon as it drains, so this holds only
+        #: live debt.
+        self.async_backlog: dict[tuple[str, str], int] = {}
+        #: Per target site, the paths it is owed bytes for, oldest debt
+        #: first (a dict used as an ordered set): the pump's work queue.
+        self._owed: dict[str, dict[str, None]] = {}
         self.metrics = MetricSet(sim)
         #: Called as ``fn(path, site_name)`` whenever a site *newly*
         #: gains a complete, current copy (sync replication ack or an
@@ -97,7 +101,9 @@ class GeoReplicator:
         #: completed after a file's first access (the stale-residency
         #: fix); notification is synchronous bookkeeping, no events.
         self.on_copy_complete: list = []
-        self._pump_running: set[str] = set()
+        #: Per target with a pump: the event its idle pump waits on,
+        #: or None while that pump is working.
+        self._pump_wake: dict[str, Event | None] = {}
         #: Backlog per target above which the event log gets a WARNING
         #: (replication lag = the RPO exposure the operator must watch).
         self.backlog_warn_bytes = 64 * 1024 * 1024
@@ -256,9 +262,9 @@ class GeoReplicator:
         gf = self.files[path]
         self.leases.promote(path, new_home)
         orphan_bytes = 0
-        for key in [k for k in self.async_backlog if k[0] == path]:
-            owed = self.async_backlog.pop(key)
-            if key[1] == new_home:
+        for target_name in self._owed:
+            owed = self.drop_backlog((path, target_name))
+            if target_name == new_home:
                 orphan_bytes += owed
         # Always record the fork point — even with zero stranded bytes the
         # ex-home must be caught up on everything written after it left
@@ -408,8 +414,11 @@ class GeoReplicator:
                 self.metrics.tally("sync.ack_latency").record(
                     self.sim.now - start)
             elif mode is ReplicationMode.ASYNC and targets:
+                backlog = self.async_backlog
                 for target in targets:
-                    self.async_backlog[(path, target.name)] += nbytes
+                    key = (path, target.name)
+                    backlog[key] = backlog.get(key, 0) + nbytes
+                    self._owed.setdefault(target.name, {})[path] = None
                     self._check_lag(target.name)
                     self._ensure_pump(target.name)
                 self.metrics.tally("async.ack_latency").record(
@@ -452,8 +461,16 @@ class GeoReplicator:
 
     def backlog_to(self, target_name: str) -> int:
         """Acked-but-undrained bytes headed to one target site."""
-        return sum(b for (_p, t), b in self.async_backlog.items()
-                   if t == target_name)
+        return sum(self.async_backlog[(path, target_name)]
+                   for path in self._owed.get(target_name, ()))
+
+    def drop_backlog(self, key: tuple[str, str]) -> int:
+        """Forget the async debt of one (path, target); returns its bytes."""
+        path, target_name = key
+        owed = self._owed.get(target_name)
+        if owed is not None:
+            owed.pop(path, None)
+        return self.async_backlog.pop(key, 0)
 
     def _check_lag(self, target_name: str) -> None:
         """Edge-triggered replication-lag warning with hysteresis."""
@@ -477,31 +494,38 @@ class GeoReplicator:
     # -- async drain -----------------------------------------------------------------------
 
     def _ensure_pump(self, target_name: str) -> None:
-        if target_name in self._pump_running:
+        """Start the target's pump, or wake it if it is idle."""
+        if target_name not in self._pump_wake:
+            self._pump_wake[target_name] = None
+            self.sim.process(self._pump(target_name),
+                             name=f"geo.pump.{target_name}")
             return
-        self._pump_running.add(target_name)
-        self.sim.process(self._pump(target_name), name=f"geo.pump.{target_name}")
+        wake = self._pump_wake[target_name]
+        if wake is not None:
+            self._pump_wake[target_name] = None
+            wake.succeed()
 
-    def _pump(self, target_name: str, idle_wait: float = 0.005):
+    def _pump(self, target_name: str):
         """Background drain of all async backlog headed to one site.
 
+        The pump ships the oldest owed path first, 8 MiB at a time.  With
+        nothing owed it blocks on a wake event that the next async write
+        to this target fires, so an idle pump costs no kernel events.
         Stalls (WAN cut, site down) back off along the shared
         :class:`RetryPolicy` schedule rather than hammering a dead route
         at a fixed cadence; the first success resets the backoff.
         """
         target = self.network.sites[target_name]
+        owed = self._owed.setdefault(target_name, {})
         policy = self.pump_retry
-        idle_rounds = 0
         stalls = 0
-        while idle_rounds < 200:  # park the pump after sustained idleness
-            item = next(((p, t) for (p, t), b in self.async_backlog.items()
-                         if t == target_name and b > 0), None)
-            if item is None:
-                idle_rounds += 1
-                yield self.sim.timeout(idle_wait)
+        while True:
+            if not owed:
+                wake = self._pump_wake[target_name] = Event(self.sim)
+                yield wake
                 continue
-            idle_rounds = 0
-            path, _ = item
+            path = next(iter(owed))
+            item = (path, target_name)
             gf = self.files[path]
             origin = self.network.sites[gf.home]
             chunk = min(self.async_backlog[item], 8 * 1024 * 1024)
@@ -537,22 +561,24 @@ class GeoReplicator:
             if item not in self.async_backlog:
                 # A failover consumed this entry while the chunk was in
                 # flight: those bytes are accounted by the orphan fork
-                # now, and decrementing the (gone) defaultdict entry here
-                # would resurrect it with a negative balance.
+                # now, and must not be charged against a later entry.
                 continue
-            self.async_backlog[item] -= chunk
+            remaining = self.async_backlog[item] - chunk
+            if remaining > 0:
+                self.async_backlog[item] = remaining
+            else:
+                self.drop_backlog(item)
             self.metrics.rate("wan.replication_bytes").record(chunk)
             if self.sim.obs is not None:
                 self.sim.obs.series.series(
                     "geo.wan_bytes", site=target_name).record(float(chunk))
             self._check_lag(target_name)
-            if self.async_backlog[item] <= 0:
+            if remaining <= 0:
                 # Fully drained: every acked byte for this file has
                 # landed, so the replica is current through the lineage
                 # version as of *now*.
                 gf.site_versions[target_name] = gf.version
                 self._note_copy_complete(gf, target_name)
-        self._pump_running.discard(target_name)
 
     def total_backlog_from(self, site_name: str) -> int:
         """Un-replicated acked bytes whose only copy is at ``site_name``."""
@@ -602,7 +628,8 @@ class GeoReplicator:
         return ComponentHealth("geo.replication", state, metrics={
             "backlog_bytes": float(backlog),
             "files": float(len(self.files)),
-            "pumps_running": float(len(self._pump_running)),
+            "pumps_running": float(sum(1 for owed in self._owed.values()
+                                       if owed)),
             "down_sites": float(len(self._down_sites)),
             "divergent_bytes": float(self.total_divergence()),
             "orphan_forks": float(len(self.orphans)),

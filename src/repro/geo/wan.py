@@ -4,15 +4,17 @@
 technologies – the choice of technology dictates the overall performance
 and bandwidth": each link carries its own bandwidth and a latency derived
 from fibre distance.  Routing is latency-weighted shortest path over the
-site graph (networkx), skipping failed sites, so a three-site ring keeps
-working when the middle site burns down.
+site graph, skipping failed sites and links, so a three-site ring keeps
+working when the middle site burns down.  Routes are cached per
+(src, dst) and recomputed only after a site or link changes state or a
+fibre is laid.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
 from typing import TYPE_CHECKING
-
-import networkx as nx
 
 from ..sim.events import Event
 from ..sim.faults import SimulatedFault
@@ -68,8 +70,12 @@ class WanNetwork:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self.graph = nx.Graph()
         self.sites: dict[str, Site] = {}
+        #: Every fibre, keyed by the sorted pair of its site names.
+        self.links: dict[tuple[str, str], WanLink] = {}
+        #: (src, dst) -> surviving shortest path, valid until the next
+        #: state transition or ``connect()``.
+        self._routes: dict[tuple[str, str], tuple[WanLink, ...]] = {}
         #: Transfer observers (e.g. :class:`~repro.geo.selection.
         #: RouteHistory`): objects with ``transfer_started(src, dst,
         #: nbytes, hops)`` and ``transfer_completed(src, dst, nbytes,
@@ -83,6 +89,7 @@ class WanNetwork:
         self.state_listeners: list = []
 
     def _forward_state(self, obj, failed: bool) -> None:
+        self._routes.clear()
         for fn in self.state_listeners:
             fn(obj, failed)
 
@@ -91,7 +98,6 @@ class WanNetwork:
         if site.name in self.sites:
             raise ValueError(f"site {site.name!r} already added")
         self.sites[site.name] = site
-        self.graph.add_node(site.name)
         site.on_state_change.append(self._forward_state)
         return site
 
@@ -105,13 +111,18 @@ class WanNetwork:
                 raise ValueError(f"site {site.name!r} not in network")
         link = WanLink(self.sim, a, b, bandwidth, distance_km,
                        encrypted=encrypted, crypto_mode=crypto_mode)
-        self.graph.add_edge(a.name, b.name, link=link, weight=link.latency)
+        self.links[tuple(sorted((a.name, b.name)))] = link
+        self._routes.clear()
         link.on_state_change.append(self._forward_state)
         return link
 
+    def link(self, a: str, b: str) -> WanLink:
+        """The fibre between two sites, by name (either order)."""
+        return self.links[(a, b) if a <= b else (b, a)]
+
     # -- routing ------------------------------------------------------------------------
 
-    def route(self, src: Site, dst: Site) -> list[WanLink]:
+    def route(self, src: Site, dst: Site) -> tuple[WanLink, ...]:
         """Surviving latency-shortest path; raises NoRouteError if cut.
 
         Skips failed sites *and* flapped-down links, so a partition heals
@@ -120,19 +131,37 @@ class WanNetwork:
         if src.failed or dst.failed:
             raise NoRouteError(
                 f"endpoint down: {src.name if src.failed else dst.name}")
-        endpoints = (src.name, dst.name)
-        usable = nx.subgraph_view(
-            self.graph,
-            filter_node=lambda name: (not self.sites[name].failed
-                                      or name in endpoints),
-            filter_edge=lambda u, v: not self.graph.edges[u, v]["link"].failed)
-        try:
-            names = nx.shortest_path(usable, src.name, dst.name,
-                                     weight="weight")
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise NoRouteError(f"no path {src.name} -> {dst.name}") from exc
-        return [self.graph.edges[u, v]["link"]
-                for u, v in zip(names, names[1:])]
+        key = (src.name, dst.name)
+        links = self._routes.get(key)
+        if links is None:
+            links = self._routes[key] = self._shortest_path(*key)
+        return links
+
+    def _shortest_path(self, src: str, dst: str) -> tuple[WanLink, ...]:
+        """Dijkstra over live links and live intermediate sites."""
+        sites = self.sites
+        via: dict[str, tuple[str | None, WanLink | None]] = {}
+        tie = count()
+        frontier = [(0.0, next(tie), src, None, None)]
+        while frontier:
+            dist, _, name, prev, hop = heappop(frontier)
+            if name in via:
+                continue
+            via[name] = (prev, hop)
+            if name == dst:
+                path = []
+                while name != src:
+                    name, hop = via[name]
+                    path.append(hop)
+                return tuple(reversed(path))
+            for (u, v), link in self.links.items():
+                if name not in (u, v) or link.failed:
+                    continue
+                nxt = v if name == u else u
+                if nxt not in via and (nxt == dst or not sites[nxt].failed):
+                    heappush(frontier, (dist + link.latency, next(tie), nxt,
+                                        name, link))
+        raise NoRouteError(f"no path {src} -> {dst}")
 
     def reachable(self, src: Site, dst: Site) -> bool:
         """True when a surviving route exists right now (no side effects)."""

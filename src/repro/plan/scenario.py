@@ -216,8 +216,8 @@ class BuiltScenario:
             site = net.sites[name]
             injector.bind_site(site,
                                on_loss=lambda s=site: dr.fail_site(s))
-        for u, v in sorted(net.graph.edges):
-            injector.bind_link(net.graph.edges[u, v]["link"])
+        for _pair, link in sorted(net.links.items()):
+            injector.bind_link(link)
         injector.bind_partitions(net)
         return injector.arm(plan, strict=strict)
 

@@ -198,6 +198,29 @@ class TestRollingUpgrade:
         down_times = {bid: t for t, bid, ev in upgrade.log if ev == "down"}
         assert down_times[0] >= 3.0
 
+    def test_drain_wait_ends_at_the_last_finish(self):
+        """The upgrade blocks on the balancer, not a poll: the blade goes
+        down at the instant its last in-flight op finishes."""
+        sim = Simulator()
+        cluster = ControllerCluster(sim, blade_count=2)
+        upgrade = cluster.rolling_upgrade(duration_per_blade=1.0)
+        cluster.balancer.start(0)
+        cluster.balancer.start(0)
+        last_finish = []
+
+        def finisher():
+            yield sim.timeout(1.2345)
+            cluster.balancer.finish(0)
+            yield sim.timeout(1.0)
+            cluster.balancer.finish(0)
+            last_finish.append(sim.now)
+
+        sim.process(finisher())
+        proc = upgrade.start()
+        sim.run(until=proc)
+        down_times = {bid: t for t, bid, ev in upgrade.log if ev == "down"}
+        assert down_times[0] == last_finish[0]
+
     def test_aborts_below_min_live(self):
         sim = Simulator()
         cluster = ControllerCluster(sim, blade_count=2)

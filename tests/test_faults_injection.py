@@ -226,7 +226,7 @@ class TestWanFaults:
         assert len(net.route(a, b)) == 2  # detours a -> c -> b
         sim.run(until=10.0)
         assert not direct.failed
-        assert net.route(a, b) == [direct]
+        assert net.route(a, b) == (direct,)
         assert inj.trackers[direct.name].repair_times == [pytest.approx(5.0)]
 
 

@@ -65,7 +65,7 @@ class TestGeoReplicator:
         wan_transfer_time = mib(8) / gbps(2.5)
         assert ack_time["ack"] < wan_transfer_time
         # ...but the backlog eventually drained.
-        assert rep.async_backlog[("/f", "b")] == 0
+        assert ("/f", "b") not in rep.async_backlog
         assert "b" in rep.files["/f"].copies
 
     def test_sync_latency_grows_with_distance(self):
@@ -287,8 +287,8 @@ class TestDisasterRecovery:
         sim = Simulator()
         net, a, b, _c = ring(sim)
         # Strangle the a-b link so async backlog persists.
-        for u, v, data in net.graph.edges(data=True):
-            data["link"].bandwidth = 1e3
+        for link in net.links.values():
+            link.bandwidth = 1e3
         rep = GeoReplicator(sim, net)
         dr = DisasterRecoveryCoordinator(sim, net, rep)
         rep.register("/f", ASYNC1, a)
