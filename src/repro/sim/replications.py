@@ -3,7 +3,9 @@
 Experiment benches that involve stochastic workloads (failure campaigns,
 Zipf traffic) report means over several seeded replications; this module
 provides the Student-t interval so EXPERIMENTS.md can state uncertainty
-honestly instead of single-run point estimates.
+honestly instead of single-run point estimates.  The t quantile is
+computed here from the regularized incomplete beta, so the interval
+needs nothing beyond ``math``.
 
 Wide sweeps (many seeds x expensive runs) can fan out across cores with
 :func:`replicate_parallel` / ``run_replications(..., max_workers=N)``.
@@ -14,12 +16,12 @@ byte-for-byte the same summary as the serial one.
 
 from __future__ import annotations
 
+import math
 import pickle
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,61 @@ def summarize(values: Sequence[float],
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
     if sem == 0.0:
         return ReplicationSummary(mean, 0.0, int(arr.size), confidence)
-    t = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, arr.size - 1))
+    t = _t_ppf(0.5 + confidence / 2.0, arr.size - 1)
     return ReplicationSummary(mean, t * sem, int(arr.size), confidence)
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the regularized incomplete beta I_x(a, b),
+    by the modified Lentz method; converges fast for x < (a+1)/(a+b+2)."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        for num in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                    -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge: {a}, {b}, {x}")
+
+
+def _t_sf(t: float, df: float) -> float:
+    """Upper tail P(T > t) of Student's t for t > 0:
+    I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    a, b = 0.5 * df, 0.5
+    t2 = t * t
+    x, y = df / (df + t2), t2 / (df + t2)  # y = 1 - x without cancelling
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     - a * math.log1p(t2 / df) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 0.5 * front * _betacf(a, b, x) / a
+    return 0.5 * (1.0 - front * _betacf(b, a, y) / b)
+
+
+def _t_ppf(p: float, df: float) -> float:
+    """Student-t quantile for p in (0.5, 1), by bisection on the upper
+    tail down to a few ulps."""
+    if not 0.5 < p < 1.0:
+        raise ValueError(f"p must be in (0.5, 1), got {p}")
+    q = 1.0 - p
+    lo, hi = 0.0, 1.0
+    while _t_sf(hi, df) > q:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if _t_sf(mid, df) > q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def run_replications(run: Callable[[int], float], seeds: Sequence[int],
